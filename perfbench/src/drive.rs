@@ -15,7 +15,7 @@ use crate::workload::{Mix, Spec, Traffic};
 use microscopiq_runtime::net::{FleetHandle, HttpClient, HttpClientConfig};
 use microscopiq_runtime::{GenRequest, ResponseStream, StreamEvent};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -95,6 +95,9 @@ pub struct Shared<'a> {
     /// generator threads stay alive until then so their CPU time can be
     /// read.
     pub released: &'a AtomicBool,
+    /// `chat-http` requests counted in the window and still in flight,
+    /// over both connections.
+    pub counted_live: AtomicUsize,
 }
 
 impl Shared<'_> {
@@ -153,7 +156,11 @@ fn chat_connection(shared: &Shared<'_>, addr: SocketAddr) {
     };
     let connect = || HttpClient::connect_with(addr, cfg).expect("connect");
     let mut client = connect();
-    while now_ns() < shared.window.w1 {
+    let w = shared.window;
+    // Past the window's end a connection keeps sending while the other
+    // one still has a counted request in flight, so that request sees
+    // the same load to its last token.
+    while now_ns() < w.w1 || shared.counted_live.load(Ordering::SeqCst) > 0 {
         let (idx, req) = shared.next();
         let body = request_body(&req);
         let sent = now_ns();
@@ -163,10 +170,17 @@ fn chat_connection(shared: &Shared<'_>, addr: SocketAddr) {
             sent,
             ..Obs::default()
         };
+        let counted = obs.counted(w);
+        if counted {
+            shared.counted_live.fetch_add(1, Ordering::SeqCst);
+        }
         if let Err(e) = http_exchange(&mut client, &body, &req, &mut obs) {
             obs.fail(format!("http: {e}"));
             // The connection state is unknown after an error.
             client = connect();
+        }
+        if counted {
+            shared.counted_live.fetch_sub(1, Ordering::SeqCst);
         }
         shared.push(obs);
     }

@@ -5,10 +5,10 @@
 //!     --workload <chat-http|batch-decode|rag-long> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
-//! `--trace 0` deploys the serving stack (set up five times; the median
-//! is `setup_s`), drives it with the workload for `--seconds`, checks a
-//! sample of the outputs bitwise against an offline session, and prints
-//! the end-to-end metrics. `--trace 1` runs the workload twice on fresh
+//! `--trace 0` deploys the serving stack (set up nine times, four before
+//! the traffic and five after; the median is `setup_s`), drives it with
+//! the workload for `--seconds`, checks a sample of the outputs bitwise
+//! against an offline session, and prints the end-to-end metrics. `--trace 1` runs the workload twice on fresh
 //! deployments, half the time each — untraced, then through the traced
 //! engine — and prints the per-layer metrics. The last stdout line is
 //! one JSON object; any output mismatch or failed self-check makes the
@@ -24,17 +24,20 @@ mod workload;
 use check::{check_outputs, compare_runs};
 use deploy::{deploy, Deployment, MODEL};
 use drive::{Obs, Shared, Window};
-use microscopiq_runtime::telemetry::SampleValue;
 use microscopiq_runtime::{HistogramSnapshot, MetricsSnapshot, RuntimeEngine};
 use stats::{beyond, current_tid, now_ns, percentile};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use trace::{layer_table, profile_steps, Call, LayerInfo, TracedEngine, KERNELS, KINDS};
 use workload::{Mix, Spec, Traffic};
 
-/// Deployments per `--trace 0` run; `setup_s` is their median.
-const SETUPS: usize = 5;
+/// Deployments per `--trace 0` run; `setup_s` is their median. The
+/// first `SETUPS_BEFORE` come before the traffic (the last of them is the
+/// one driven) and the rest after it, so the median samples host speed,
+/// which drifts at second to minute scale, across the whole run.
+const SETUPS: usize = 9;
+const SETUPS_BEFORE: usize = 4;
 /// Traffic runs this long before the window opens, so the decoded-tile
 /// cache, the prefix cache and the batch reach steady state.
 const WARMUP_NS: u64 = 2_000_000_000;
@@ -142,6 +145,7 @@ fn drive(dep: &Deployment, spec: Spec, seed: u64, seconds: f64) -> RunData {
         results: &results,
         tids: &tids,
         released: &released,
+        counted_live: AtomicUsize::new(0),
     };
     let fleet = dep.server.fleet();
     let addr = dep.server.addr();
@@ -356,26 +360,25 @@ fn untraced_deploy() -> Deployment {
     deploy(|_| |_| RuntimeEngine::parallel())
 }
 
+/// An untraced deployment whose set-up time is added to `setups`.
+fn timed_deploy(setups: &mut Vec<f64>) -> Deployment {
+    let d = untraced_deploy();
+    setups.push(d.setup_s());
+    d
+}
+
 fn run_untraced(args: &Args, spec: &Spec) -> bool {
     let mut setups = Vec::new();
-    let mut dep = None;
-    for i in 0..SETUPS {
-        let d = untraced_deploy();
-        setups.push(d.setup_s());
-        if i + 1 < SETUPS {
-            d.server.shutdown();
-        } else {
-            dep = Some(d);
-        }
+    for _ in 1..SETUPS_BEFORE {
+        timed_deploy(&mut setups).server.shutdown();
     }
-    let dep = dep.expect("at least one setup");
+    let dep = timed_deploy(&mut setups);
     let run = drive(&dep, *spec, args.seed, args.seconds);
     let c = client_figures(spec, &run);
     println!(
         "workload {} seed {}: sent {} ok {} failed {} (refused {}) in a {:.1} s window",
         spec.name, args.seed, c.counted, c.ok, c.failed, c.refused, c.secs
     );
-    println!("  setups (s): {setups:.3?}");
     println!(
         "  samples: ttft {} ({} beyond p90), itl {} ({} beyond p99); host steal {:.3}, generator cpu share {:.3}",
         c.ttft_ms.len(),
@@ -387,6 +390,10 @@ fn run_untraced(args: &Args, spec: &Spec) -> bool {
     );
     let (checks, failed) = common_checks(&dep, spec, args.seed, &run, &c);
     dep.server.shutdown();
+    for _ in SETUPS_BEFORE..SETUPS {
+        timed_deploy(&mut setups).server.shutdown();
+    }
+    println!("  setups (s): {setups:.3?}");
     let metrics: Metrics = vec![
         ("setup_s".into(), percentile(&setups, 50.0), "s"),
         (
@@ -417,26 +424,18 @@ fn run_untraced(args: &Args, spec: &Spec) -> bool {
     correct
 }
 
-/// Sum of a counter family's samples whose labels include `labels`.
-fn counter_sum(snap: &MetricsSnapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
-    snap.samples
-        .iter()
-        .filter(|s| s.name == name)
-        .filter(|s| {
-            labels
-                .iter()
-                .all(|(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
-        })
-        .map(|s| match s.value {
-            SampleValue::Counter(v) => v,
-            _ => 0,
-        })
-        .sum()
-}
-
-/// A counter's growth over the window.
+/// A counter's growth over the window: the whole family, or the one
+/// series whose labels include `labels` (every layer is W4, so each
+/// kernel and op has a single `bits` series).
 fn delta(run: &RunData, name: &str, labels: &[(&str, &str)]) -> f64 {
-    (counter_sum(&run.end.snap, name, labels) - counter_sum(&run.start.snap, name, labels)) as f64
+    let at = |snap: &MetricsSnapshot| {
+        if labels.is_empty() {
+            snap.counter(name)
+        } else {
+            snap.counter_with(name, labels).unwrap_or(0)
+        }
+    };
+    (at(&run.end.snap) - at(&run.start.snap)) as f64
 }
 
 /// A histogram family (all label series merged) over the window.

@@ -18,18 +18,13 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Linear-interpolated percentile (`p` in 0..=100) of unsorted samples;
-/// 0.0 for an empty set.
+/// [`microscopiq_linalg::stats::percentile`] (`p` in 0..=100), or 0.0
+/// for an empty set.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    let rank = (p / 100.0) * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    v[lo] + (v[hi] - v[lo]) * (rank - lo as f64)
+    microscopiq_linalg::stats::percentile(samples, p)
 }
 
 /// Samples strictly above the `p`-th percentile — the evidence behind a
